@@ -4,19 +4,21 @@
 
 namespace rc {
 
-std::vector<NodeId> AddressMap::partition_nodes(int p) const {
-  std::vector<NodeId> v;
+AddressMap::AddressMap(const Topology* topo, int partition_side)
+    : topo_(topo), pside_(partition_side) {
+  parts_.resize(static_cast<std::size_t>(num_partitions()));
   if (!partitioned()) {
-    for (NodeId n = 0; n < topo_->num_nodes(); ++n) v.push_back(n);
-    return v;
+    for (NodeId n = 0; n < topo_->num_nodes(); ++n) parts_[0].push_back(n);
+    return;
   }
   const int ppr = partitions_per_row();
-  const int px = (p % ppr) * pside_;
-  const int py = (p / ppr) * pside_;
-  for (int y = py; y < py + pside_; ++y)
-    for (int x = px; x < px + pside_; ++x)
-      v.push_back(topo_->node_at({x, y}));
-  return v;
+  for (int p = 0; p < num_partitions(); ++p) {
+    const int px = (p % ppr) * pside_;
+    const int py = (p / ppr) * pside_;
+    for (int y = py; y < py + pside_; ++y)
+      for (int x = px; x < px + pside_; ++x)
+        parts_[static_cast<std::size_t>(p)].push_back(topo_->node_at({x, y}));
+  }
 }
 
 int AddressMap::partition_of_addr(Addr addr) const {
@@ -37,7 +39,7 @@ int AddressMap::partition_of_addr(Addr addr) const {
 NodeId AddressMap::home_l2(Addr addr) const {
   if (!partitioned())
     return static_cast<NodeId>((addr / kLineBytes) % topo_->num_nodes());
-  auto nodes = partition_nodes(partition_of_addr(addr));
+  const auto& nodes = partition_nodes(partition_of_addr(addr));
   return nodes[(addr / kLineBytes) % nodes.size()];
 }
 

@@ -20,8 +20,7 @@ namespace rc {
 /// off-chip).
 class AddressMap {
  public:
-  explicit AddressMap(const Topology* topo, int partition_side = 0)
-      : topo_(topo), pside_(partition_side) {}
+  explicit AddressMap(const Topology* topo, int partition_side = 0);
 
   bool partitioned() const { return pside_ > 0; }
   int partition_side() const { return pside_; }
@@ -38,8 +37,10 @@ class AddressMap {
     return (c.y / pside_) * partitions_per_row() + c.x / pside_;
   }
 
-  /// Nodes of partition `p`, row-major.
-  std::vector<NodeId> partition_nodes(int p) const;
+  /// Nodes of partition `p`, row-major (the whole chip when monolithic).
+  const std::vector<NodeId>& partition_nodes(int p) const {
+    return parts_[static_cast<std::size_t>(p)];
+  }
 
   /// Which partition an address belongs to (derived from the workload
   /// layout: private regions belong to their owning core's partition,
@@ -53,6 +54,9 @@ class AddressMap {
  private:
   const Topology* topo_;
   int pside_;
+  /// Member lists per partition, built once: home_l2 runs on every L1 miss
+  /// and every prewarmed line.
+  std::vector<std::vector<NodeId>> parts_;
 };
 
 /// Byte span of one partition's shared (and migratory) slice when

@@ -16,22 +16,17 @@ bool Directory::needs_pointer_recall(const Line& l, NodeId requestor) const {
   return l.meta.sharers.count() >= pointers_;
 }
 
-Directory::Line* Directory::try_install(Addr addr, Cycle now) {
-  if (!array_.free_way(addr)) return nullptr;
-  return array_.install(addr, now);
-}
-
 Directory::Line* Directory::victim(
     Addr addr, const std::function<bool(Addr)>& evictable) {
-  return array_.victim(addr, [&](const Line& l) { return evictable(l.tag); });
+  return array_.victim(addr, [&](const Line& l) { return evictable(l.tag()); });
 }
 
 void Directory::save(StateWriter& w) const {
   const auto& lines = array_.lines();
   w.u64(lines.size());
   for (const auto& l : lines) {
-    w.b(l.valid);
-    w.u64(l.tag);
+    w.b(l.valid());
+    w.u64(l.tag());
     w.u64(l.last_used);
     w.i64(l.meta.owner);
     const auto words = l.meta.sharers.words();
@@ -48,11 +43,15 @@ bool Directory::load(StateReader& r) {
     return r.fail("directory has " + std::to_string(lines.size()) +
                   " entries, snapshot has " + std::to_string(n));
   for (auto& l : lines) {
+    bool valid;
+    Addr tag;
     std::int64_t owner;
     std::uint64_t nw;
-    if (!(r.b(&l.valid) && r.u64(&l.tag) && r.u64(&l.last_used) &&
+    if (!(r.b(&valid) && r.u64(&tag) && r.u64(&l.last_used) &&
           r.i64(&owner) && r.u64(&nw)))
       return false;
+    if (tag != line_addr(tag)) return r.fail("directory tag not line-aligned");
+    l.restore(tag, valid);
     l.meta.owner = static_cast<NodeId>(owner);
     std::vector<std::uint64_t> words(nw);
     for (std::uint64_t& x : words)

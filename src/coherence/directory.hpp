@@ -54,7 +54,7 @@ class Directory {
 
   Line* find(Addr addr) { return array_.find(addr); }
   void touch(Line& l, Cycle now) { array_.touch(l, now); }
-  void release(Line& l) { l.valid = false; }
+  void release(Line& l) { l.invalidate(); }
 
   /// True when nothing is tracked (the entry can be reclaimed silently).
   bool empty(const Line& l) const {
@@ -65,9 +65,11 @@ class Directory {
   /// in use).
   bool needs_pointer_recall(const Line& l, NodeId requestor) const;
 
-  /// Install in a free way of addr's set; nullptr when the set is full
-  /// (the caller must evict a victim() first).
-  Line* try_install(Addr addr, Cycle now);
+  /// The entry for addr, installing it in a free way when absent; nullptr
+  /// when the set is full (the caller must evict a victim() first).
+  Line* find_or_install(Addr addr, Cycle now) {
+    return array_.find_or_install(addr, now).line;
+  }
 
   /// LRU entry in addr's set whose tag satisfies `evictable` (the L2 bank
   /// excludes tags with an outstanding transaction); nullptr when none.

@@ -59,13 +59,13 @@ void L1Cache::evict_for(Addr addr, Cycle now) {
   RC_ASSERT(v != nullptr, "L1 set has no evictable line");
   if (v->meta.st == L1State::M || v->meta.st == L1State::E) {
     // Table 3, L1 replacement: data to home L2, acknowledged with L2WbAck.
-    auto wb = make(MsgType::WbData, amap_->home_l2(v->tag), v->tag, 5);
+    auto wb = make(MsgType::WbData, amap_->home_l2(v->tag()), v->tag(), 5);
     send_later(std::move(wb), now);
     ++stats_->counter("l1_writebacks");
   } else {
     ++stats_->counter("l1_silent_evicts");
   }
-  v->valid = false;
+  v->invalidate();
 }
 
 void L1Cache::fill(Addr addr, bool exclusive, Cycle now) {
@@ -105,7 +105,7 @@ void L1Cache::handle(const MsgPtr& msg, Cycle now) {
         if (msg->downgrade)
           line->meta.st = L1State::S;  // recall-for-read keeps the copy
         else
-          line->valid = false;
+          line->invalidate();
       }
       auto ack = make(MsgType::L1InvAck, msg->src, msg->addr, 1);
       send_later(std::move(ack), now + cfg_.l1_hit_latency);
@@ -122,7 +122,7 @@ void L1Cache::handle(const MsgPtr& msg, Cycle now) {
       break;
     }
     case MsgType::FwdGetX: {
-      if (auto* line = array_.find(msg->addr)) line->valid = false;
+      if (auto* line = array_.find(msg->addr)) line->invalidate();
       auto d = make(MsgType::L1ToL1, msg->fwd_requestor, msg->addr, 5);
       d->undone_marker = msg->undone_marker;
       send_later(std::move(d), now + cfg_.l1_hit_latency);
@@ -154,19 +154,17 @@ L1State L1Cache::state_of(Addr addr) {
 }
 
 void L1Cache::prewarm_line(Addr addr, L1State st) {
-  addr = line_addr(addr);
-  if (array_.find(addr)) return;
-  if (!array_.free_way(addr)) return;  // don't evict during warm-up
-  auto* line = array_.install(addr, 0);
-  line->meta.st = st;
+  // A full set keeps its lines: warm-up never evicts.
+  const auto slot = array_.find_or_install(addr, 0);
+  if (slot.installed) slot.line->meta.st = st;
 }
 
 void L1Cache::save(StateWriter& w) const {
   const auto& lines = array_.lines();
   w.u64(lines.size());
   for (const auto& l : lines) {
-    w.b(l.valid);
-    w.u64(l.tag);
+    w.b(l.valid());
+    w.u64(l.tag());
     w.u64(l.last_used);
     w.u8(static_cast<std::uint8_t>(l.meta.st));
   }
@@ -191,9 +189,13 @@ bool L1Cache::load(StateReader& r) {
     return r.fail("L1 has " + std::to_string(lines.size()) +
                   " lines, snapshot has " + std::to_string(n));
   for (auto& l : lines) {
+    bool valid;
+    Addr tag;
     std::uint8_t st;
-    if (!(r.b(&l.valid) && r.u64(&l.tag) && r.u64(&l.last_used) && r.u8(&st)))
+    if (!(r.b(&valid) && r.u64(&tag) && r.u64(&l.last_used) && r.u8(&st)))
       return false;
+    if (tag != line_addr(tag)) return r.fail("L1 line tag not line-aligned");
+    l.restore(tag, valid);
     if (st > static_cast<std::uint8_t>(L1State::M))
       return r.fail("L1 line state out of range");
     l.meta.st = static_cast<L1State>(st);

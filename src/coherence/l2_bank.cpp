@@ -165,7 +165,7 @@ void L2Bank::handle(const MsgPtr& msg, Cycle now) {
         RC_ASSERT(line != nullptr, "evicting a missing line");
         if (line->meta.dirty)
           send_later(make(MsgType::MemWb, amap_->mem_ctrl(addr), addr, 5), now);
-        line->valid = false;
+        line->invalidate();
         ++stats_->counter("l2_evictions");
         if (proto_ == Protocol::SparseMSI)
           if (auto* d = dir_->find(addr)) dir_->release(*d);
@@ -418,8 +418,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
 }
 
 Directory::Line* L2Bank::dir_ensure(const MsgPtr& msg, Cycle now) {
-  if (auto* d = dir_->find(msg->addr)) return d;
-  if (auto* d = dir_->try_install(msg->addr, now)) return d;
+  if (auto* d = dir_->find_or_install(msg->addr, now)) return d;
   auto* victim = dir_->victim(msg->addr, [&](Addr tag) {
     return txns_.find(tag) == txns_.end();
   });
@@ -434,14 +433,14 @@ Directory::Line* L2Bank::dir_ensure(const MsgPtr& msg, Cycle now) {
     // silently, no recalls needed.
     dir_->release(*victim);
     ++stats_->counter("l2_dir_evictions");
-    auto* d = dir_->try_install(msg->addr, now);
+    auto* d = dir_->find_or_install(msg->addr, now);
     RC_ASSERT(d != nullptr, "released entry not reusable");
     return d;
   }
   // Broadcast recall storm: every tracked copy of the victim tag must be
   // invalidated (and acked) before the entry can be reused.
   int n = send_dir_invalidations(*victim, kInvalidNode, now);
-  txns_[victim->tag] = Txn{TxnState::DirEvict, nullptr, n, msg->addr, {}};
+  txns_[victim->tag()] = Txn{TxnState::DirEvict, nullptr, n, msg->addr, {}};
   txns_[msg->addr] = Txn{TxnState::WaitEvict, msg, 0, 0, {}};
   ++stats_->counter("l2_dir_evict_recalls");
   return nullptr;
@@ -452,11 +451,11 @@ int L2Bank::send_dir_invalidations(const Directory::Line& entry, NodeId except,
   int n = 0;
   entry.meta.sharers.for_each([&](NodeId s) {
     if (s == except) return;
-    send_later(make(MsgType::Inv, s, entry.tag, 1), now + cfg_.l2_hit_latency);
+    send_later(make(MsgType::Inv, s, entry.tag(), 1), now + cfg_.l2_hit_latency);
     ++n;
   });
   if (entry.meta.owner != kInvalidNode && entry.meta.owner != except) {
-    send_later(make(MsgType::Inv, entry.meta.owner, entry.tag, 1),
+    send_later(make(MsgType::Inv, entry.meta.owner, entry.tag(), 1),
                now + cfg_.l2_hit_latency);
     ++n;
   }
@@ -468,11 +467,11 @@ int L2Bank::send_invalidations(const Line& line, NodeId except, Cycle now) {
   int n = 0;
   line.meta.sharers.for_each([&](NodeId s) {
     if (s == except) return;
-    send_later(make(MsgType::Inv, s, line.tag, 1), now + cfg_.l2_hit_latency);
+    send_later(make(MsgType::Inv, s, line.tag(), 1), now + cfg_.l2_hit_latency);
     ++n;
   });
   if (line.meta.owner != kInvalidNode && line.meta.owner != except) {
-    send_later(make(MsgType::Inv, line.meta.owner, line.tag, 1),
+    send_later(make(MsgType::Inv, line.meta.owner, line.tag(), 1),
                now + cfg_.l2_hit_latency);
     ++n;
   }
@@ -500,7 +499,7 @@ void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
     return;
   }
   auto* victim = array_.victim(msg->addr, [&](const Line& l) {
-    return !l.meta.fetching && txns_.find(l.tag) == txns_.end();
+    return !l.meta.fetching && txns_.find(l.tag()) == txns_.end();
   });
   if (!victim) {
     retry_.push_back(msg);  // every way busy: retry next cycle
@@ -512,10 +511,10 @@ void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
     // L1 copies live wherever the sparse directory says they do. A line
     // with no entry (or an emptied one) evicts silently; otherwise the
     // inclusive recall goes to the entry's tracked population.
-    if (auto* d = dir_->find(victim->tag)) {
+    if (auto* d = dir_->find(victim->tag())) {
       if (!dir_->empty(*d)) {
         int n = send_dir_invalidations(*d, kInvalidNode, now);
-        txns_[victim->tag] = Txn{TxnState::EvictInv, nullptr, n, msg->addr, {}};
+        txns_[victim->tag()] = Txn{TxnState::EvictInv, nullptr, n, msg->addr, {}};
         txns_[msg->addr] = Txn{TxnState::WaitEvict, msg, 0, 0, {}};
         return;
       }
@@ -525,15 +524,15 @@ void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
     // Inclusive L2: recall/invalidate the L1 copies first (write-or-
     // replacement invalidation of Table 3).
     int n = send_invalidations(*victim, kInvalidNode, now);
-    txns_[victim->tag] = Txn{TxnState::EvictInv, nullptr, n, msg->addr, {}};
+    txns_[victim->tag()] = Txn{TxnState::EvictInv, nullptr, n, msg->addr, {}};
     txns_[msg->addr] = Txn{TxnState::WaitEvict, msg, 0, 0, {}};
     return;
   }
   if (victim->meta.dirty)
-    send_later(make(MsgType::MemWb, amap_->mem_ctrl(victim->tag),
-                    victim->tag, 5),
+    send_later(make(MsgType::MemWb, amap_->mem_ctrl(victim->tag()),
+                    victim->tag(), 5),
                now + cfg_.l2_hit_latency);
-  victim->valid = false;
+  victim->invalidate();
   ++stats_->counter("l2_evictions");
   proceed_miss(msg->addr, msg, now);
 }
@@ -596,23 +595,17 @@ NodeId L2Bank::owner_of(Addr addr) {
 }
 
 bool L2Bank::prewarm_line(Addr addr, NodeId owner) {
-  addr = line_addr(addr);
+  const auto l2 = array_.find_or_install(addr, 0);
   if (proto_ == Protocol::SparseMSI) {
-    if (!array_.find(addr)) {
-      if (!array_.free_way(addr)) return false;
-      array_.install(addr, 0);
-    }
+    if (!l2.line) return false;
     if (owner == kInvalidNode) return true;
-    auto* d = dir_->find(addr);
-    if (!d) d = dir_->try_install(addr, 0);
+    auto* d = dir_->find_or_install(addr, 0);
     if (!d) return false;  // directory set full: the L1 copy stays untracked
     d->meta.owner = owner;
     return true;
   }
-  if (array_.find(addr)) return true;
-  if (!array_.free_way(addr)) return false;
-  auto* line = array_.install(addr, 0);
-  line->meta.owner = owner;
+  if (!l2.line) return false;
+  if (l2.installed) l2.line->meta.owner = owner;
   return true;
 }
 
@@ -628,15 +621,15 @@ void L2Bank::save(StateWriter& w) const {
   w.u64(lines.size());
   std::uint64_t nvalid = 0;
   for (const auto& l : lines)
-    if (l.valid) ++nvalid;
+    if (l.valid()) ++nvalid;
   w.vu64(nvalid);
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const auto& l = lines[i];
-    if (!l.valid) continue;
+    if (!l.valid()) continue;
     w.vu64(i - prev);  // gap from the previous valid index (first: from 0)
     prev = i;
-    w.vu64(l.tag / kLineBytes);
+    w.vu64(l.tag() / kLineBytes);
     w.vu64(l.last_used);
     w.u8(static_cast<std::uint8_t>((l.meta.dirty ? 1 : 0) |
                                    (l.meta.fetching ? 2 : 0)));
@@ -695,8 +688,7 @@ bool L2Bank::load(StateReader& r) {
     if (idx >= lines.size()) return r.fail("L2 line index out of range");
     if (flags > 3) return r.fail("L2 line flags out of range");
     Line& l = lines[idx];
-    l.valid = true;
-    l.tag = tagline * kLineBytes;
+    l.restore(tagline * kLineBytes, /*valid=*/true);
     l.last_used = last_used;
     l.meta.dirty = (flags & 1) != 0;
     l.meta.fetching = (flags & 2) != 0;

@@ -66,11 +66,12 @@ class L2Bank : public Ticker {
   bool load(StateReader& r);
 
  private:
+  // Field order packs the line: 16 B sharers, 4 B owner, two flags.
   struct LineMeta {
+    SharerSet sharers;
+    NodeId owner = kInvalidNode;
     bool dirty = false;
     bool fetching = false;  ///< MemRead outstanding, data not yet here
-    NodeId owner = kInvalidNode;
-    SharerSet sharers;
   };
   enum class TxnState : std::uint8_t {
     WaitDataAck,  ///< reply sent, line blocked until L1DataAck (or elision)
@@ -90,6 +91,8 @@ class L2Bank : public Ticker {
     std::deque<MsgPtr> waiting;  ///< requests queued behind the blocked line
   };
   using Line = CacheArray<LineMeta>::Line;
+  // The L2 arrays are most of a full-system run's memory (1M lines at 8x8).
+  static_assert(sizeof(Line) <= 40, "L2 line outgrew its 40 B budget");
 
   void process_cpu_req(const MsgPtr& msg, Cycle now);
   void process_cpu_req_sparse(const MsgPtr& msg, Cycle now);

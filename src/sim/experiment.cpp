@@ -154,8 +154,8 @@ std::vector<RunResult> run_many(const std::vector<SystemConfig>& cfgs,
     detail += "\n  '" + labels[i] + "': " + out[i].error;
   }
   if (failures > 0)
-    throw FatalError("run_many: " + std::to_string(failures) +
-                     " configuration(s) failed:" + detail);
+    fatal("run_many: " + std::to_string(failures) +
+          " configuration(s) failed:" + detail);
   return out;
 }
 

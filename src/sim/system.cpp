@@ -1,5 +1,7 @@
 #include "sim/system.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "common/state.hpp"
@@ -9,6 +11,70 @@
 #include "sim/validator.hpp"
 
 namespace rc {
+
+namespace {
+
+// Functional warm-up installs L2 lines bank by bank. prewarm() walks the
+// address space core by core, so consecutive installs land in different
+// banks and jump across every bank's line array (40 MB at 8x8). Installs
+// are queued instead and drained one bank at a time: each bank still sees
+// exactly its own installs in their original order, and banks share no
+// state, so the final contents are the same as installing in walk order,
+// while each drain stays inside one bank's array. The queue is bounded so
+// it costs a fixed ~0.5 MB, not a copy of the whole prewarm footprint.
+class BankOrderedPrewarm {
+ public:
+  BankOrderedPrewarm(const std::vector<std::unique_ptr<L2Bank>>& l2s,
+                     const std::vector<std::unique_ptr<L1Cache>>& l1s)
+      : l2s_(l2s), l1s_(l1s), bucket_(l2s.size() + 1) {
+    q_.reserve(kCapacity);
+    order_.resize(kCapacity);
+  }
+
+  /// Queue l2s[bank]->prewarm_line(a, owner). With `plant_l1`, the owner's
+  /// L1 gets an M copy if (and only if) the bank registers it, planted in
+  /// queue order so every L1 also sees its original install order. The
+  /// caller drains once more after the last add.
+  void add(NodeId bank, Addr a, NodeId owner, bool plant_l1) {
+    q_.push_back({a, owner, bank, plant_l1, false});
+    if (q_.size() == kCapacity) drain();
+  }
+
+  void drain() {
+    // Stable counting sort of queue indices by bank.
+    std::fill(bucket_.begin(), bucket_.end(), 0u);
+    for (const Install& e : q_) ++bucket_[static_cast<std::size_t>(e.bank) + 1];
+    for (std::size_t b = 1; b < bucket_.size(); ++b) bucket_[b] += bucket_[b - 1];
+    for (std::size_t i = 0; i < q_.size(); ++i)
+      order_[bucket_[static_cast<std::size_t>(q_[i].bank)]++] =
+          static_cast<std::uint32_t>(i);
+    for (std::size_t k = 0; k < q_.size(); ++k) {
+      Install& e = q_[order_[k]];
+      e.accepted = l2s_[e.bank]->prewarm_line(e.addr, e.owner);
+    }
+    for (const Install& e : q_)
+      if (e.plant_l1 && e.accepted)
+        l1s_[e.owner]->prewarm_line(e.addr, L1State::M);
+    q_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kCapacity = 16384;
+  struct Install {
+    Addr addr;
+    NodeId owner;
+    NodeId bank;
+    bool plant_l1;
+    bool accepted;
+  };
+  const std::vector<std::unique_ptr<L2Bank>>& l2s_;
+  const std::vector<std::unique_ptr<L1Cache>>& l1s_;
+  std::vector<Install> q_;
+  std::vector<std::uint32_t> order_;   ///< queue indices grouped by bank
+  std::vector<std::uint32_t> bucket_;  ///< per-bank write cursors
+};
+
+}  // namespace
 
 System::~System() = default;
 
@@ -55,7 +121,7 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
                                                root.fork(i + 1));
       if (amap_->partitioned()) {
         const int p = amap_->partition_of(i);
-        auto members = amap_->partition_nodes(p);
+        const auto& members = amap_->partition_nodes(p);
         int member_idx = 0;
         for (std::size_t k = 0; k < members.size(); ++k)
           if (members[k] == i) member_idx = static_cast<int>(k);
@@ -205,6 +271,7 @@ void System::prewarm() {
   // warm-up: first accesses are remote-L2 hits, and only footprints that
   // genuinely exceed the aggregate L2 (canneal, ocean, mcf/lbm in the mix)
   // keep producing memory traffic.
+  BankOrderedPrewarm l2(l2s_, l1s_);
   for (NodeId c = 0; c < n; ++c) {
     const AppProfile& prof = core_profs_[c];
     const std::uint32_t priv_hot =
@@ -215,16 +282,15 @@ void System::prewarm() {
       if (cfg_.protocol == Protocol::SparseMSI) {
         // Directory capacity gates the L1 copy: an untracked modified line
         // would dodge recalls. MSI has no E, so hot lines warm up in M.
-        if (l2s_[amap_->home_l2(a)]->prewarm_line(a, c))
-          l1s_[c]->prewarm_line(a, L1State::M);
+        l2.add(amap_->home_l2(a), a, c, /*plant_l1=*/true);
       } else {
         l1s_[c]->prewarm_line(a, L1State::E);
-        l2s_[amap_->home_l2(a)]->prewarm_line(a, c);
+        l2.add(amap_->home_l2(a), a, c, /*plant_l1=*/false);
       }
     }
     for (std::uint32_t i = priv_hot; i < prof.private_lines; ++i) {
       Addr a = base + static_cast<Addr>(i) * kLineBytes;
-      l2s_[amap_->home_l2(a)]->prewarm_line(a, kInvalidNode);
+      l2.add(amap_->home_l2(a), a, kInvalidNode, false);
     }
   }
   // Shared/migratory regions: every partition gets its slice (one slice,
@@ -240,13 +306,14 @@ void System::prewarm() {
     const Addr soff = static_cast<Addr>(p) * kPartitionSharedSpan;
     for (std::uint32_t i = 0; i < shared_lines; ++i) {
       Addr a = kSharedBase + soff + static_cast<Addr>(i) * kLineBytes;
-      l2s_[amap_->home_l2(a)]->prewarm_line(a, kInvalidNode);
+      l2.add(amap_->home_l2(a), a, kInvalidNode, false);
     }
     for (std::uint32_t i = 0; i < mig_lines; ++i) {
       Addr a = kMigratoryBase + soff + static_cast<Addr>(i) * kLineBytes;
-      l2s_[amap_->home_l2(a)]->prewarm_line(a, kInvalidNode);
+      l2.add(amap_->home_l2(a), a, kInvalidNode, false);
     }
   }
+  l2.drain();
 }
 
 Cycle System::run() {

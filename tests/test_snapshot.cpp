@@ -238,5 +238,50 @@ TEST(SnapshotWarmKeys, GroupOnlyRelaxedKnobs) {
   EXPECT_NE(warm_group_hash(base), warm_group_hash(strict2));
 }
 
+// Prewarmed-state oracle: the RCSNAP01 bytes of a freshly prewarmed System
+// (no cycle simulated) pin every L1/L2/directory line the functional
+// warm-up plants, in layout and replacement order. The constants were
+// recorded before the prewarm install order and the cache-line layout were
+// reworked; any change to what prewarm() produces shows up here first.
+// Observers serialize their own sections, so the pin applies only to plain
+// runs (the check preset exports RC_CHECK to every test).
+TEST(SnapshotPrewarm, PrewarmedStateMatchesPinnedHashes) {
+  struct Case {
+    int cores;
+    int partition_side;
+    Protocol proto;
+    std::uint64_t want;
+  };
+  const Case cases[] = {
+      {64, 0, Protocol::FullMapMESI, 0xe7ee0a5014a0e868ull},
+      {64, 0, Protocol::SparseMSI, 0x00d88bf9f5c9ca6eull},
+      {256, 8, Protocol::FullMapMESI, 0x6ee727d2ae8de361ull},
+      {256, 8, Protocol::SparseMSI, 0xb23167b779877bedull},
+  };
+  for (const Case& c : cases) {
+    SystemConfig cfg =
+        make_system_config(c.cores, "SlackDelay1_NoAck", "fft", /*seed=*/1);
+    cfg.partition_side = c.partition_side;
+    cfg.protocol = c.proto;
+    System sys(cfg);
+    if (sys.validator() || sys.telemetry())
+      GTEST_SKIP() << "observer sections change the snapshot bytes";
+    sys.prewarm();
+    const std::string path = "snap_prewarm.state";
+    std::string err;
+    ASSERT_TRUE(save_snapshot(sys, path, &err)) << err;
+    const std::string bytes = read_file(path);
+    std::remove(path.c_str());
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llxull",
+                  static_cast<unsigned long long>(
+                      fnv1a(bytes.data(), bytes.size())));
+    EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), c.want)
+        << c.cores << " tiles, partition_side " << c.partition_side << ", "
+        << (c.proto == Protocol::SparseMSI ? "SparseMSI" : "MESI")
+        << ": prewarmed snapshot hash " << hex;
+  }
+}
+
 }  // namespace
 }  // namespace rc

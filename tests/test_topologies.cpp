@@ -6,7 +6,10 @@
 // the non-mesh fabrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -412,6 +415,91 @@ TEST(SharerSetTest, AnyBesidesAndAssignOnly) {
   EXPECT_FALSE(s.any_besides(200));
   s.clear();
   EXPECT_TRUE(s.none());
+}
+
+// Property: random add/remove/clear/set_words sequences against a plain
+// word-vector model of the set (word 0 inline, words 1.. the spill, grown
+// only by add). words() must match the model word for word — trailing zero
+// spill words included, since snapshot bytes depend on the spill length —
+// and every query and move must agree with it.
+TEST(SharerSetTest, RandomOpsMatchWordVectorModel) {
+  std::mt19937_64 rng(1234);
+  for (int round = 0; round < 200; ++round) {
+    SharerSet s;
+    std::vector<std::uint64_t> model(1, 0);
+    for (int op = 0; op < 60; ++op) {
+      // Members up to node 1023 (32x32), biased toward the inline word.
+      const NodeId n = static_cast<NodeId>(rng() % 2 ? rng() % 64 : rng() % 1024);
+      const std::size_t wi = static_cast<std::size_t>(n) / 64;
+      const std::uint64_t b = 1ull << (n % 64);
+      switch (rng() % 8) {
+        case 0: case 1: case 2:
+          s.add(n);
+          if (wi >= model.size()) model.resize(wi + 1, 0);
+          model[wi] |= b;
+          break;
+        case 3: case 4:
+          s.remove(n);
+          if (wi < model.size()) model[wi] &= ~b;
+          break;
+        case 5:
+          if (rng() % 4 == 0) {
+            s.clear();
+            model.assign(1, 0);
+          }
+          break;
+        case 6: {
+          // Restore from explicit words, trailing zeros and all.
+          std::vector<std::uint64_t> w(1 + rng() % 17, 0);
+          for (auto& x : w) x = rng() % 3 ? 0 : rng();
+          s.set_words(w);
+          model = w;
+          break;
+        }
+        default: {
+          // Moves carry the spill, length included, and leave it behind.
+          SharerSet moved(std::move(s));
+          EXPECT_EQ(moved.words(), model);
+          s.add(900);
+          s = std::move(moved);
+          break;
+        }
+      }
+      ASSERT_EQ(s.words(), model) << "round " << round << " op " << op;
+      int count = 0;
+      std::vector<NodeId> members;
+      for (std::size_t i = 0; i < model.size(); ++i)
+        for (int k = 0; k < 64; ++k)
+          if (model[i] >> k & 1) {
+            ++count;
+            members.push_back(static_cast<NodeId>(i * 64 + k));
+          }
+      EXPECT_EQ(s.count(), count);
+      EXPECT_EQ(s.none(), count == 0);
+      std::vector<NodeId> seen;
+      s.for_each([&](NodeId m) { seen.push_back(m); });
+      EXPECT_EQ(seen, members);
+      const NodeId probe = static_cast<NodeId>(rng() % 1024);
+      EXPECT_EQ(s.test(probe),
+                std::find(members.begin(), members.end(), probe) !=
+                    members.end());
+      NodeId lowest = kInvalidNode;
+      for (NodeId m : members)
+        if (m != probe) {
+          lowest = m;
+          break;
+        }
+      EXPECT_EQ(s.lowest_besides(probe), lowest);
+      EXPECT_EQ(s.any_besides(probe), lowest != kInvalidNode);
+    }
+  }
+  // clear() drops the spill entirely: words() is back to the inline word.
+  SharerSet s;
+  s.add(1000);
+  s.remove(1000);
+  EXPECT_EQ(s.words().size(), 16u);
+  s.clear();
+  EXPECT_EQ(s.words(), std::vector<std::uint64_t>{0});
 }
 
 // ------------------------------------------------------- whole-system runs

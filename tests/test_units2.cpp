@@ -3,7 +3,9 @@
 // buffering and fragmented VC claim/release behaviour.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <string>
 
 #include "coherence/cache_array.hpp"
 #include "noc/network.hpp"
@@ -40,7 +42,7 @@ TEST(CacheArrayTest, VictimIsLru) {
   arr.touch(*arr.find(a[0]), 100);  // a[0] becomes most recent
   auto* v = arr.victim(0x9999, [](const auto&) { return true; });
   ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->tag, a[1]);  // oldest untouched
+  EXPECT_EQ(v->tag(), a[1]);  // oldest untouched
 }
 
 TEST(CacheArrayTest, VictimRespectsPredicate) {
@@ -48,10 +50,10 @@ TEST(CacheArrayTest, VictimRespectsPredicate) {
   arr.install(0, 1);
   arr.install(64, 2);
   auto* v = arr.victim(0x9999, [](const CacheArray<Meta>::Line& l) {
-    return l.tag != 0;  // line 0 is pinned
+    return l.tag() != 0;  // line 0 is pinned
   });
   ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->tag, 64u);
+  EXPECT_EQ(v->tag(), 64u);
 }
 
 TEST(CacheArrayTest, HashedIndexSpreadsAlignedRegions) {
@@ -65,6 +67,70 @@ TEST(CacheArrayTest, HashedIndexSpreadsAlignedRegions) {
       sets.insert(arr.set_of(base + static_cast<Addr>(i * 16) * 64));
   }
   EXPECT_GT(sets.size(), 64u);
+}
+
+// Property: find_or_install is one set scan with the same result as the
+// find / free_way / install sequence it replaced. Two arrays take the same
+// random op stream — one through find_or_install, the reference through
+// the three-step sequence — and must stay identical line for line. The
+// geometries mix power-of-two and other set counts and strides; set_of is
+// checked against the index fold with lg recomputed on every call.
+TEST(CacheArrayTest, FindOrInstallMatchesFindFreeWayInstall) {
+  struct Geo {
+    int sets, ways, stride;
+  };
+  for (const Geo g : {Geo{16, 4, 1}, Geo{64, 16, 64}, Geo{12, 3, 5},
+                      Geo{32, 2, 6}, Geo{1, 4, 1}}) {
+    SCOPED_TRACE("sets=" + std::to_string(g.sets) +
+                 " ways=" + std::to_string(g.ways) +
+                 " stride=" + std::to_string(g.stride));
+    CacheArray<Meta> arr(g.sets, g.ways, g.stride);
+    CacheArray<Meta> ref(g.sets, g.ways, g.stride);
+    std::mt19937_64 rng(static_cast<std::uint64_t>(g.sets * 1000 + g.stride));
+    // Enough distinct lines to overfill every set several times over.
+    const Addr span = static_cast<Addr>(g.sets) * g.ways * 3;
+    for (int op = 0; op < 4000; ++op) {
+      const Addr a = (rng() % span) * static_cast<Addr>(g.stride) * kLineBytes +
+                     rng() % kLineBytes;
+      // Original index: lg recomputed by a loop, then divide and modulo.
+      int lg = 0;
+      while ((1 << (lg + 1)) <= g.sets) ++lg;
+      Addr h = a / kLineBytes / static_cast<Addr>(g.stride);
+      h ^= (h >> lg) ^ (h >> (2 * lg));
+      ASSERT_EQ(arr.set_of(a), static_cast<int>(h % static_cast<Addr>(g.sets)));
+
+      const Cycle now = static_cast<Cycle>(op);
+      if (rng() % 4 == 0) {
+        // Invalidate (evict) the address in both, if present.
+        auto* l = arr.find(a);
+        auto* r = ref.find(a);
+        ASSERT_EQ(l == nullptr, r == nullptr);
+        if (l) {
+          l->invalidate();
+          r->invalidate();
+        }
+        continue;
+      }
+      const auto slot = arr.find_or_install(a, now);
+      auto* r = ref.find(a);
+      const bool r_installed = !r && ref.free_way(a);
+      if (r_installed) r = ref.install(a, now);
+      ASSERT_EQ(slot.line == nullptr, r == nullptr) << "op " << op;
+      EXPECT_EQ(slot.installed, r_installed) << "op " << op;
+      if (slot.line) {
+        EXPECT_EQ(slot.line - arr.lines().data(), r - ref.lines().data());
+        slot.line->meta.state = r->meta.state = static_cast<int>(op % 7) + 1;
+      }
+    }
+    for (std::size_t i = 0; i < arr.lines().size(); ++i) {
+      const auto& x = arr.lines()[i];
+      const auto& y = ref.lines()[i];
+      ASSERT_EQ(x.valid(), y.valid()) << "line " << i;
+      ASSERT_EQ(x.tag(), y.tag()) << "line " << i;
+      ASSERT_EQ(x.last_used, y.last_used) << "line " << i;
+      ASSERT_EQ(x.meta.state, y.meta.state) << "line " << i;
+    }
+  }
 }
 
 // --------------------------------------------------------------- L1 paths

@@ -44,6 +44,7 @@
 #include "sim/presets.hpp"
 #include "sim/synthetic.hpp"
 #include "sim/telemetry.hpp"
+#include "tool_main.hpp"
 
 using namespace rc;
 
@@ -185,8 +186,7 @@ struct CmpEntry {
 };
 
 /// Reader errors are user-facing (bad path on the command line, a corrupt
-/// artifact): report and exit 2. fatal() throws, and an uncaught FatalError
-/// aborts — the wrong exit for "your input file is bad".
+/// artifact): report under the tool's name and exit 2.
 [[noreturn]] void die2(const std::string& msg) {
   std::fprintf(stderr, "bench-report: %s\n", msg.c_str());
   std::exit(2);
@@ -301,9 +301,11 @@ int run_compare(const std::string& old_path, const std::string& new_path,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The tool's main; tool_main() below maps library errors to exit 2.
+int run(int argc, char** argv) {
+  if (argc == 2 && std::string(argv[1]) == "--help")
+    die2("usage: bench-report [shards...] | --compare old.json new.json "
+         "[--tolerance=<pct>]");
   if (argc >= 2 && std::string(argv[1]) == "--compare") {
     // Optional --tolerance=<pct> after the two paths tunes the regression
     // gate (default 10: flag any matched pair slower than 0.90x).
@@ -439,4 +441,10 @@ int main(int argc, char** argv) {
   std::fputs(json.c_str(), stdout);
   std::fprintf(stdout, "wrote %s\n", out_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tool_main("bench-report", run, argc, argv);
 }

@@ -36,6 +36,7 @@
 
 #include "common/parse.hpp"
 #include "sim/dse.hpp"
+#include "tool_main.hpp"
 
 using namespace rc;
 
@@ -114,9 +115,8 @@ double need_double(const char* flag, const char* v) {
   return d;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The tool's main; tool_main() below maps library errors to exit 2.
+int run(int argc, char** argv) {
   DseOptions opt;
   std::string spec_path;
   std::string compare_baseline;
@@ -225,4 +225,10 @@ int main(int argc, char** argv) {
     }
   }
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tool_main("rc-dse", run, argc, argv);
 }

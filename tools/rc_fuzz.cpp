@@ -40,6 +40,7 @@
 #include "sim/snapshot.hpp"
 #include "sim/system.hpp"
 #include "sim/validator.hpp"
+#include "tool_main.hpp"
 
 using namespace rc;
 
@@ -258,9 +259,8 @@ void torture_run(const SystemConfig& cfg, Cycle every) {
   std::remove(resaved.c_str());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The tool's main; tool_main() below maps library errors to exit 2.
+int run(int argc, char** argv) {
   long long configs = 25;
   long long cycles = 2'000;
   long long warmup = 500;
@@ -391,4 +391,10 @@ int main(int argc, char** argv) {
               "0 violations\n",
               ran, cycles, skipped);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tool_main("rc-fuzz", run, argc, argv);
 }

@@ -47,6 +47,7 @@
 #include "sim/snapshot.hpp"
 #include "sim/system.hpp"
 #include "sim/trace.hpp"
+#include "tool_main.hpp"
 
 using namespace rc;
 
@@ -302,9 +303,8 @@ void print_report(const RunResult& r) {
   t.print();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The tool's main; tool_main() below maps library errors to exit 2.
+int run(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
@@ -469,4 +469,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tool_main("rc-sim", run, argc, argv);
 }

@@ -19,6 +19,7 @@
 
 #include "common/state.hpp"
 #include "sim/snapshot.hpp"
+#include "tool_main.hpp"
 
 using namespace rc;
 
@@ -160,9 +161,8 @@ int diff(const std::string& pa, const std::string& pb) {
   return 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The tool's main; tool_main() below maps library errors to exit 2.
+int run(int argc, char** argv) {
   if (argc == 4 && !std::strcmp(argv[1], "diff")) return diff(argv[2], argv[3]);
   if (argc != 2 || !std::strcmp(argv[1], "--help")) usage();
   SnapshotHeader h;
@@ -174,4 +174,10 @@ int main(int argc, char** argv) {
   }
   print_one(argv[1], h, dir);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tool_main("rc-state", run, argc, argv);
 }

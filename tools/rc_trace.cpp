@@ -20,6 +20,7 @@
 
 #include "sim/report.hpp"
 #include "sim/telemetry.hpp"
+#include "tool_main.hpp"
 
 using namespace rc;
 
@@ -100,9 +101,8 @@ int run_diff(const std::string& pa, const std::string& pb,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The tool's main; tool_main() below maps library errors to exit 2.
+int run(int argc, char** argv) {
   std::string cmd;
   std::vector<std::string> paths;
   bool include_warmup = false;
@@ -128,4 +128,10 @@ int main(int argc, char** argv) {
   if (cmd == "diff" && paths.size() == 2)
     return run_diff(paths[0], paths[1], include_warmup);
   return usage(stderr);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tool_main("rc-trace", run, argc, argv);
 }
